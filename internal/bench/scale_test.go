@@ -10,6 +10,7 @@ import (
 
 	"impacc/internal/apps"
 	"impacc/internal/core"
+	"impacc/internal/mpi"
 	"impacc/internal/topo"
 )
 
@@ -82,6 +83,71 @@ func TestGeminiScaleLean(t *testing.T) {
 	}
 	t.Logf("gemini:16,8,8 lean: %d events in %v serial (%.0f events/sec), heap %d bytes/rank",
 		ev1, wall1, float64(ev1)/wall1.Seconds(), bytesPerRank)
+}
+
+// TestGeminiCollectiveScaling guards the collective path's scaling shape:
+// a lean 1-element Allreduce (Reduce tree plus two-level Bcast) must cost
+// O(1) host memory per rank, so the allocation per rank may not grow in
+// step with the rank count — at 4x the ranks it must stay under 2x. Any
+// O(ranks) work per member and call (an O(ranks²) run) breaks that bound.
+// Serial and -par-sim 8 reports must also stay byte-identical on this
+// path, which the Jacobi runs above never enter.
+func TestGeminiCollectiveScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 512- and 2048-node simulations")
+	}
+	prog := func(tk *core.Task) {
+		in, out := tk.Malloc(8), tk.Malloc(8)
+		tk.Allreduce(in, out, 1, mpi.Float64, mpi.Sum)
+	}
+	run := func(sysName string, workers int) (report []byte, ranks int, allocPerRank float64) {
+		sys, err := topo.Preset(sysName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks = len(sys.Nodes)
+		cfg := core.Config{System: sys, Lean: true, Seed: 2016, JitterPct: 1, Parallel: workers}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rt, err := core.NewRuntime(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := rt.Execute(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		rep.Run.Hash = ""
+		report, err = json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := rep.Metrics.WriteJSON(&snap); err != nil {
+			t.Fatal(err)
+		}
+		report = append(report, snap.Bytes()...)
+		return report, ranks, float64(after.TotalAlloc-before.TotalAlloc) / float64(ranks)
+	}
+
+	_, small, smallAlloc := run("gemini:8,8,8", 1)
+	rep1, large, largeAlloc := run("gemini:16,16,8", 1)
+	rep8, _, _ := run("gemini:16,16,8", 8)
+	if small != 512 || large != 2048 {
+		t.Fatalf("generated %d and %d ranks, want 512 and 2048", small, large)
+	}
+	if !bytes.Equal(rep1, rep8) {
+		t.Errorf("par-sim 8 Allreduce report differs from serial (%d vs %d bytes)", len(rep8), len(rep1))
+	}
+	growth := largeAlloc / smallAlloc
+	if growth >= 2 {
+		t.Errorf("allocation per rank grew %.2fx (%.0f -> %.0f bytes) for 4x the ranks, want < 2x",
+			growth, smallAlloc, largeAlloc)
+	}
+	t.Logf("Allreduce alloc/rank: %d ranks %.0f B, %d ranks %.0f B (%.2fx)",
+		small, smallAlloc, large, largeAlloc, growth)
 }
 
 // TestGemini4096Measure regenerates the BENCH_topo.json 4096-node row.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"impacc/internal/mpi"
 	"impacc/internal/msg"
 	"impacc/internal/xmem"
@@ -77,8 +79,8 @@ func (c *Comm) Barrier() {
 	round := 0
 	for off := 1; off < n; off <<= 1 {
 		tag := base - round
-		dst := c.ranks[(me+off)%n]
-		src := c.ranks[(me-off+n)%n]
+		dst := c.g.ranks[(me+off)%n]
+		src := c.g.ranks[(me-off+n)%n]
 		start := t.proc.Now()
 		mark := t.traceMark()
 		s := t.postSend(t.proc, t.scratch, 1, dst, tag, o)
@@ -95,25 +97,19 @@ func (c *Comm) Barrier() {
 }
 
 // leaders returns the node-leader communicator rank for every participating
-// node in first-seen order, with root promoted to leader of its own node,
-// plus this task's leader.
-func (c *Comm) leaders(root int) (list []int, myLeader int) {
-	t := c.t
-	rootNode := t.rt.placements[c.ranks[root]].Node
-	seen := map[int]int{}
-	var order []int
-	for crank, wrank := range c.ranks {
-		node := t.rt.placements[wrank].Node
-		if _, ok := seen[node]; !ok {
-			seen[node] = crank
-			order = append(order, node)
-		}
+// node in first-seen order (indexed by node slot), with root promoted to
+// leader of its own node. When root already leads its node — every
+// Allreduce and Allgather, whose root is 0 — it is the group's shared slice,
+// which callers must not modify.
+func (c *Comm) leaders(root int) []int {
+	g := c.g
+	s := g.slot[root]
+	if g.leaders[s] == root {
+		return g.leaders
 	}
-	seen[rootNode] = root
-	for _, node := range order {
-		list = append(list, seen[node])
-	}
-	return list, seen[t.pl.Node]
+	list := slices.Clone(g.leaders)
+	list[s] = root
+	return list
 }
 
 // bcastSegBytes is the pipelining segment size for large internode
@@ -136,7 +132,9 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 	o.comm = c.id
 	t.noAsync(o)
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
-	leaders, myLeader := c.leaders(root)
+	leaders := c.leaders(root)
+	mySlot := c.g.slot[c.myRank]
+	myLeader := leaders[mySlot]
 
 	start := t.proc.Now()
 	mark := t.traceMark()
@@ -151,15 +149,7 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 	// allgather for large ones, where the root injects the payload once
 	// instead of log(P) times.
 	if c.myRank == myLeader {
-		idx, rootIdx := -1, -1
-		for i, l := range leaders {
-			if l == c.myRank {
-				idx = i
-			}
-			if l == root {
-				rootIdx = i
-			}
-		}
+		idx, rootIdx := mySlot, c.g.slot[root]
 		var pend []*msg.Cmd
 		if len(leaders) >= 4 && bytes >= int64(len(leaders))*bcastSegBytes {
 			c.bcastScatterAllgather(buf, bytes, leaders, idx, rootIdx, base, o)
@@ -169,9 +159,9 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 		// Phase 2: forward whole buffers to the other member tasks on
 		// this node (whole-message so the §3.8 aliasing requirements can
 		// hold).
-		for crank, wrank := range c.ranks {
-			if crank != c.myRank && t.sameNode(wrank) {
-				pend = append(pend, t.postSend(t.proc, buf, bytes, wrank, base-2, o))
+		for _, crank := range c.g.members[mySlot] {
+			if crank != c.myRank {
+				pend = append(pend, t.postSend(t.proc, buf, bytes, c.g.ranks[crank], base-2, o))
 			}
 		}
 		for _, s := range pend {
@@ -181,7 +171,7 @@ func (c *Comm) Bcast(addr xmem.Addr, count int, dt mpi.Datatype, root int, opts 
 		return
 	}
 	// Non-leader: receive from the node leader.
-	r := t.postRecv(t.proc, buf, bytes, c.ranks[myLeader], base-2, o)
+	r := t.postRecv(t.proc, buf, bytes, c.g.ranks[myLeader], base-2, o)
 	r.Done.Wait(t.proc)
 	t.checkCmd(r)
 }
@@ -201,12 +191,12 @@ func (c *Comm) bcastTree(buf xmem.Addr, bytes int64, leaders []int, idx, rootIdx
 		}
 		seg := buf + xmem.Addr(off)
 		if parent >= 0 {
-			r := t.postRecv(t.proc, seg, segLen, c.ranks[leaders[parent]], base-1, o)
+			r := t.postRecv(t.proc, seg, segLen, c.g.ranks[leaders[parent]], base-1, o)
 			r.Done.Wait(t.proc)
 			t.checkCmd(r)
 		}
 		for _, k := range kids {
-			pend = append(pend, t.postSend(t.proc, seg, segLen, c.ranks[leaders[k]], base-1, o))
+			pend = append(pend, t.postSend(t.proc, seg, segLen, c.g.ranks[leaders[k]], base-1, o))
 		}
 	}
 	return pend
@@ -227,7 +217,7 @@ func (c *Comm) bcastScatterAllgather(buf xmem.Addr, bytes int64, leaders []int, 
 		}
 		return chunk
 	}
-	world := func(i int) int { return c.ranks[leaders[i]] }
+	world := func(i int) int { return c.g.ranks[leaders[i]] }
 	// Scatter: the root sends every other leader its chunk.
 	if idx == rootIdx {
 		var pend []*msg.Cmd
@@ -290,13 +280,13 @@ func (c *Comm) Reduce(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, 
 		mark := t.traceMark()
 		tmp := t.tempAlloc(bytes)
 		for _, child := range mpi.ReduceChildren(c.myRank, root, n) {
-			r := t.postRecv(t.proc, tmp, bytes, c.ranks[child], base-1, callOpts{async: -1, comm: c.id})
+			r := t.postRecv(t.proc, tmp, bytes, c.g.ranks[child], base-1, callOpts{async: -1, comm: c.id})
 			r.Done.Wait(t.proc)
 			t.checkCmd(r)
 			t.combine(op, dt, accAddr, tmp, count)
 		}
 		if parent := mpi.ReduceParent(c.myRank, root, n); parent >= 0 {
-			s := t.postSend(t.proc, accAddr, bytes, c.ranks[parent], base-1, callOpts{async: -1, comm: c.id})
+			s := t.postSend(t.proc, accAddr, bytes, c.g.ranks[parent], base-1, callOpts{async: -1, comm: c.id})
 			s.Done.Wait(t.proc)
 			t.checkCmd(s)
 		}
@@ -326,11 +316,11 @@ func (c *Comm) Gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr x
 	if c.myRank != root {
 		start := t.proc.Now()
 		mark := t.traceMark()
-		s := t.postSend(t.proc, sbuf, bytes, c.ranks[root], base-1, o)
+		s := t.postSend(t.proc, sbuf, bytes, c.g.ranks[root], base-1, o)
 		s.Done.Wait(t.proc)
 		t.commTime += dur(t.proc.Now() - start)
 		t.mpiObserve("gather", start)
-		t.mpiSpan("gather", start, mark, c.ranks[root], bytes)
+		t.mpiSpan("gather", start, mark, c.g.ranks[root], bytes)
 		t.checkCmd(s)
 		return
 	}
@@ -344,7 +334,7 @@ func (c *Comm) Gather(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr x
 			t.localCopy(slot, sbuf, bytes)
 			continue
 		}
-		reqs = append(reqs, t.postRecv(t.proc, slot, bytes, c.ranks[crank], base-1, o))
+		reqs = append(reqs, t.postRecv(t.proc, slot, bytes, c.g.ranks[crank], base-1, o))
 	}
 	for _, r := range reqs {
 		r.Done.Wait(t.proc)
@@ -368,11 +358,11 @@ func (c *Comm) Scatter(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr 
 	if c.myRank != root {
 		start := t.proc.Now()
 		mark := t.traceMark()
-		r := t.postRecv(t.proc, rbuf, bytes, c.ranks[root], base-1, o)
+		r := t.postRecv(t.proc, rbuf, bytes, c.g.ranks[root], base-1, o)
 		r.Done.Wait(t.proc)
 		t.commTime += dur(t.proc.Now() - start)
 		t.mpiObserve("scatter", start)
-		t.mpiSpan("scatter", start, mark, c.ranks[root], bytes)
+		t.mpiSpan("scatter", start, mark, c.g.ranks[root], bytes)
 		t.checkCmd(r)
 		return
 	}
@@ -386,7 +376,7 @@ func (c *Comm) Scatter(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr 
 			t.localCopy(rbuf, slot, bytes)
 			continue
 		}
-		reqs = append(reqs, t.postSend(t.proc, slot, bytes, c.ranks[crank], base-1, o))
+		reqs = append(reqs, t.postSend(t.proc, slot, bytes, c.g.ranks[crank], base-1, o))
 	}
 	for _, s := range reqs {
 		s.Done.Wait(t.proc)
@@ -425,8 +415,8 @@ func (c *Comm) Alltoall(sendAddr xmem.Addr, count int, dt mpi.Datatype, recvAddr
 		dst := (me + step) % n
 		src := (me - step + n) % n
 		reqs = append(reqs,
-			t.postSend(t.proc, sbuf+xmem.Addr(int64(dst)*blk), blk, c.ranks[dst], base-1, o),
-			t.postRecv(t.proc, rbuf+xmem.Addr(int64(src)*blk), blk, c.ranks[src], base-1, o))
+			t.postSend(t.proc, sbuf+xmem.Addr(int64(dst)*blk), blk, c.g.ranks[dst], base-1, o),
+			t.postRecv(t.proc, rbuf+xmem.Addr(int64(src)*blk), blk, c.g.ranks[src], base-1, o))
 	}
 	for _, r := range reqs {
 		r.Done.Wait(t.proc)
@@ -521,7 +511,7 @@ func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op
 	mark := t.traceMark()
 	if me > 0 {
 		prefix := t.tempAlloc(bytes)
-		r := t.postRecv(t.proc, prefix, bytes, c.ranks[me-1], base-1, o)
+		r := t.postRecv(t.proc, prefix, bytes, c.g.ranks[me-1], base-1, o)
 		r.Done.Wait(t.proc)
 		t.checkCmd(r)
 		// recv = op(prefix, mine): combine into the prefix then swap in.
@@ -530,7 +520,7 @@ func (c *Comm) Scan(sendAddr, recvAddr xmem.Addr, count int, dt mpi.Datatype, op
 		t.tempFree(prefix)
 	}
 	if me < c.Size()-1 {
-		s := t.postSend(t.proc, rbuf, bytes, c.ranks[me+1], base-1, o)
+		s := t.postSend(t.proc, rbuf, bytes, c.g.ranks[me+1], base-1, o)
 		s.Done.Wait(t.proc)
 		t.checkCmd(s)
 	}
@@ -564,11 +554,11 @@ func (c *Comm) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype,
 	if c.myRank != root {
 		start := t.proc.Now()
 		mark := t.traceMark()
-		s := t.postSend(t.proc, sbuf, sbytes, c.ranks[root], base-1, o)
+		s := t.postSend(t.proc, sbuf, sbytes, c.g.ranks[root], base-1, o)
 		s.Done.Wait(t.proc)
 		t.commTime += dur(t.proc.Now() - start)
 		t.mpiObserve("gatherv", start)
-		t.mpiSpan("gatherv", start, mark, c.ranks[root], sbytes)
+		t.mpiSpan("gatherv", start, mark, c.g.ranks[root], sbytes)
 		t.checkCmd(s)
 		return
 	}
@@ -592,7 +582,7 @@ func (c *Comm) Gatherv(sendAddr xmem.Addr, sendCount int, dt mpi.Datatype,
 			t.localCopy(slot, sbuf, nbytes)
 			continue
 		}
-		reqs = append(reqs, t.postRecv(t.proc, slot, nbytes, c.ranks[crank], base-1, o))
+		reqs = append(reqs, t.postRecv(t.proc, slot, nbytes, c.g.ranks[crank], base-1, o))
 	}
 	for _, r := range reqs {
 		r.Done.Wait(t.proc)
@@ -617,11 +607,11 @@ func (c *Comm) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatyp
 	if c.myRank != root {
 		start := t.proc.Now()
 		mark := t.traceMark()
-		r := t.postRecv(t.proc, rbuf, rbytes, c.ranks[root], base-1, o)
+		r := t.postRecv(t.proc, rbuf, rbytes, c.g.ranks[root], base-1, o)
 		r.Done.Wait(t.proc)
 		t.commTime += dur(t.proc.Now() - start)
 		t.mpiObserve("scatterv", start)
-		t.mpiSpan("scatterv", start, mark, c.ranks[root], rbytes)
+		t.mpiSpan("scatterv", start, mark, c.g.ranks[root], rbytes)
 		t.checkCmd(r)
 		return
 	}
@@ -645,7 +635,7 @@ func (c *Comm) Scatterv(sendAddr xmem.Addr, counts, displs []int, dt mpi.Datatyp
 			t.localCopy(rbuf, slot, nbytes)
 			continue
 		}
-		reqs = append(reqs, t.postSend(t.proc, slot, nbytes, c.ranks[crank], base-1, o))
+		reqs = append(reqs, t.postSend(t.proc, slot, nbytes, c.g.ranks[crank], base-1, o))
 	}
 	for _, s := range reqs {
 		s.Done.Wait(t.proc)

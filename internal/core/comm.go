@@ -2,7 +2,6 @@ package core
 
 import (
 	"hash/fnv"
-	"sort"
 
 	"impacc/internal/sim"
 
@@ -12,19 +11,70 @@ import (
 
 // Comm is an MPI communicator: an ordered group of tasks with an isolated
 // matching context. Point-to-point and collective operations exist on both
-// Task (MPI_COMM_WORLD shorthand) and Comm.
+// Task (MPI_COMM_WORLD shorthand) and Comm. Each member holds its own Comm
+// (rank, sequence counters) over one commGroup shared by all members.
 type Comm struct {
 	t *Task
 	// id is the context id carried by every message of this communicator;
 	// matching never crosses ids. World is 0.
 	id int
-	// ranks maps communicator rank -> world rank.
-	ranks []int
+	// g is the membership shared by every member's view; never mutated.
+	g *commGroup
 	// myRank is this task's rank within the communicator.
 	myRank int
 
 	collSeq  int
 	splitSeq int
+}
+
+// commGroup is a communicator's membership and node layout, built once per
+// communicator and shared read-only by all its members (and by Dup
+// children), so no member pays O(size) to find its node leaders.
+type commGroup struct {
+	// ranks maps communicator rank -> world rank.
+	ranks []int
+	// leaders is the first communicator rank on each participating node,
+	// in first-seen (communicator rank) order; its index is the node slot.
+	leaders []int
+	// slot maps communicator rank -> node slot.
+	slot []int
+	// members lists, per node slot, the communicator ranks on that node in
+	// ascending order.
+	members [][]int
+}
+
+// newGroup lays out the communicator whose rank r is world rank ranks[r].
+// slotOf is zeroed scratch with one entry per node (node -> slot+1), handed
+// back zeroed so one Split can lay out all its colors in O(nodes + size).
+func (rt *Runtime) newGroup(ranks, slotOf []int) *commGroup {
+	g := &commGroup{ranks: ranks, slot: make([]int, len(ranks))}
+	var count []int
+	for crank, wrank := range ranks {
+		node := rt.placements[wrank].Node
+		if slotOf[node] == 0 {
+			g.leaders = append(g.leaders, crank)
+			count = append(count, 0)
+			slotOf[node] = len(g.leaders)
+		}
+		s := slotOf[node] - 1
+		g.slot[crank] = s
+		count[s]++
+	}
+	// One backing array for all member lists.
+	backing := make([]int, len(ranks))
+	g.members = make([][]int, len(g.leaders))
+	off := 0
+	for s, n := range count {
+		g.members[s] = backing[off : off : off+n]
+		off += n
+	}
+	for crank, s := range g.slot {
+		g.members[s] = append(g.members[s], crank)
+	}
+	for _, lead := range g.leaders {
+		slotOf[rt.placements[ranks[lead]].Node] = 0
+	}
+	return g
 }
 
 // World returns the task's MPI_COMM_WORLD view.
@@ -34,27 +84,18 @@ func (t *Task) World() *Comm { return t.world }
 func (c *Comm) Rank() int { return c.myRank }
 
 // Size returns the number of tasks in the communicator.
-func (c *Comm) Size() int { return len(c.ranks) }
+func (c *Comm) Size() int { return len(c.g.ranks) }
 
 // WorldRank translates a communicator rank to the world rank.
-func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
+func (c *Comm) WorldRank(r int) int { return c.g.ranks[r] }
 
 // ID returns the communicator's context id.
 func (c *Comm) ID() int { return c.id }
 
 func (c *Comm) checkRank(r int) {
-	if r < 0 || r >= len(c.ranks) {
-		c.t.failf("comm %d: rank %d out of range [0,%d)", c.id, r, len(c.ranks))
+	if r < 0 || r >= len(c.g.ranks) {
+		c.t.failf("comm %d: rank %d out of range [0,%d)", c.id, r, len(c.g.ranks))
 	}
-}
-
-// newWorld builds the world communicator for a task.
-func (rt *Runtime) newWorld(t *Task) *Comm {
-	ranks := make([]int, len(rt.placements))
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return &Comm{t: t, id: 0, ranks: ranks, myRank: t.rank}
 }
 
 // Split is MPI_Comm_split: tasks supplying the same color form a new
@@ -74,43 +115,20 @@ func (c *Comm) Split(color, key int) *Comm {
 	defer t.tempFree(mine)
 	defer t.tempFree(all)
 	c.Allgather(mine, 2, mpi.Int64, all)
-	pairs := t.rt.lookupSplit(c.id, c.splitSeq)
-	if color < 0 {
+	g, rank, err := t.rt.lookupSplit(c, c.splitSeq)
+	if err != nil {
+		t.fail(err)
+	}
+	if g == nil {
 		return nil
 	}
-	type member struct{ key, commRank int }
-	var members []member
-	for r := 0; r < n; r++ {
-		p, ok := pairs[r]
-		if !ok {
-			t.failf("comm %d split %d: member %d never called Split", c.id, c.splitSeq, r)
-		}
-		if p[0] == color {
-			members = append(members, member{p[1], r})
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].commRank < members[j].commRank
-	})
-	nc := &Comm{t: t, id: commID(c.id, c.splitSeq, color)}
-	for i, m := range members {
-		nc.ranks = append(nc.ranks, c.ranks[m.commRank])
-		if m.commRank == c.myRank {
-			nc.myRank = i
-		}
-	}
-	return nc
+	return &Comm{t: t, id: commID(c.id, c.splitSeq, color), g: g, myRank: rank}
 }
 
 // Dup is MPI_Comm_dup: same group, fresh matching context.
 func (c *Comm) Dup() *Comm {
 	c.splitSeq++
-	nc := &Comm{t: c.t, id: commID(c.id, c.splitSeq, -1), myRank: c.myRank}
-	nc.ranks = append(nc.ranks, c.ranks...)
-	return nc
+	return &Comm{t: c.t, id: commID(c.id, c.splitSeq, -1), g: c.g, myRank: c.myRank}
 }
 
 // commID derives a deterministic context id shared by all members that
@@ -180,7 +198,7 @@ func (c *Comm) Iprobe(src, tag int, dt mpi.Datatype) (bool, int) {
 	wsrc := src
 	if src != AnySource {
 		c.checkRank(src)
-		wsrc = c.ranks[src]
+		wsrc = c.g.ranks[src]
 	}
 	ok, bytes := t.node.hub.Probe(t.rank, wsrc, tag, c.id)
 	return ok, int(bytes / dt.Size())

@@ -168,7 +168,7 @@ func (t *Task) sendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst, 
 	o := parseOpts(opts)
 	o.comm = c.id
 	t.checkTag(tag)
-	wdst := c.ranks[dst]
+	wdst := c.g.ranks[dst]
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
 		t.enqueueUnifiedMPI("mpi_send", o.async, func(p *sim.Proc) *msg.Cmd {
@@ -192,7 +192,7 @@ func (t *Task) recvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src, 
 	t.checkTag(tag)
 	wsrc := src
 	if src != AnySource {
-		wsrc = c.ranks[src]
+		wsrc = c.g.ranks[src]
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
@@ -215,7 +215,7 @@ func (t *Task) isendOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, dst,
 	o := parseOpts(opts)
 	o.comm = c.id
 	t.checkTag(tag)
-	wdst := c.ranks[dst]
+	wdst := c.g.ranks[dst]
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {
 		return t.enqueueUnifiedMPI("mpi_isend", o.async, func(p *sim.Proc) *msg.Cmd {
@@ -236,7 +236,7 @@ func (t *Task) irecvOn(c *Comm, addr xmem.Addr, count int, dt mpi.Datatype, src,
 	t.checkTag(tag)
 	wsrc := src
 	if src != AnySource {
-		wsrc = c.ranks[src]
+		wsrc = c.g.ranks[src]
 	}
 	buf, bytes := t.resolveBuf(addr, count, dt, o)
 	if o.async >= 0 {

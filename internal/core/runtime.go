@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -60,14 +61,17 @@ type Runtime struct {
 	// shard order plus the fault plan's buffered counters — built once by
 	// runMetrics after the group run finishes.
 	metrics *telemetry.Registry
+	// world is the MPI_COMM_WORLD group every task's World() view shares.
+	world *commGroup
 	// splits carries Comm.Split group metadata out of band: the color/key
 	// pairs are control information (the allgather still prices the wire
 	// exchange), keyed by (parent context id, split sequence). splitMu makes
 	// the map safe across shards; ordering needs no lock because a member
 	// only reads the map after the allgather, whose internode messages land
-	// at least one lookahead window after every deposit.
+	// at least one lookahead window after every deposit. An entry lives from
+	// the first deposit until the last member has looked it up.
 	splitMu sync.Mutex
-	splits  map[[2]int]map[int][2]int
+	splits  map[[2]int]*splitEntry
 	// allocBytes accumulates task host-heap allocations for the
 	// Limits.MaxAllocBytes cap, atomically since tasks allocate from
 	// concurrent shards.
@@ -94,25 +98,91 @@ const defaultStreamFlushBeat = sim.Dur(1_000_000)
 // disarmed. See sim.StallReport.
 func (rt *Runtime) Stall() *sim.StallReport { return rt.group.Stall() }
 
+// splitEntry is one Split instance in the registry. Members deposit their
+// (color, key) pairs; the first lookup replaces the pairs with the new
+// communicators' shared groups, and the last lookup drops the entry.
+type splitEntry struct {
+	pairs     map[int][2]int // parent comm rank -> (color, key), until built
+	groups    []*commGroup   // parent comm rank -> new group (nil: MPI_UNDEFINED)
+	newRank   []int          // parent comm rank -> rank in its new group
+	remaining int            // members that have not looked up yet
+}
+
 // depositSplit records one member's (color, key) for a split instance.
 func (rt *Runtime) depositSplit(commID, seq, commRank, color, key int) {
 	rt.splitMu.Lock()
 	defer rt.splitMu.Unlock()
 	if rt.splits == nil {
-		rt.splits = map[[2]int]map[int][2]int{}
+		rt.splits = map[[2]int]*splitEntry{}
 	}
 	k := [2]int{commID, seq}
-	if rt.splits[k] == nil {
-		rt.splits[k] = map[int][2]int{}
+	e := rt.splits[k]
+	if e == nil {
+		e = &splitEntry{pairs: map[int][2]int{}}
+		rt.splits[k] = e
 	}
-	rt.splits[k][commRank] = [2]int{color, key}
+	e.pairs[commRank] = [2]int{color, key}
 }
 
-// lookupSplit returns all deposited pairs for a split instance.
-func (rt *Runtime) lookupSplit(commID, seq int) map[int][2]int {
+// lookupSplit returns the calling member's new group and rank for split
+// instance seq of parent (a nil group for MPI_UNDEFINED). Every member has
+// deposited by the time any member looks up, so the first lookup builds
+// the groups of all colors at once, ordering each by (key, parent rank).
+func (rt *Runtime) lookupSplit(parent *Comm, seq int) (*commGroup, int, error) {
 	rt.splitMu.Lock()
 	defer rt.splitMu.Unlock()
-	return rt.splits[[2]int{commID, seq}]
+	k := [2]int{parent.id, seq}
+	e := rt.splits[k]
+	if e.groups == nil {
+		n := parent.Size()
+		type member struct{ color, key, commRank int }
+		members := make([]member, 0, n)
+		for r := 0; r < n; r++ {
+			p, ok := e.pairs[r]
+			if !ok {
+				return nil, 0, fmt.Errorf("comm %d split %d: member %d never called Split", parent.id, seq, r)
+			}
+			if p[0] >= 0 {
+				members = append(members, member{p[0], p[1], r})
+			}
+		}
+		sort.Slice(members, func(i, j int) bool {
+			a, b := members[i], members[j]
+			if a.color != b.color {
+				return a.color < b.color
+			}
+			if a.key != b.key {
+				return a.key < b.key
+			}
+			return a.commRank < b.commRank
+		})
+		e.groups = make([]*commGroup, n)
+		e.newRank = make([]int, n)
+		slotOf := make([]int, len(rt.Cfg.System.Nodes))
+		for lo := 0; lo < len(members); {
+			hi := lo
+			for hi < len(members) && members[hi].color == members[lo].color {
+				hi++
+			}
+			ranks := make([]int, hi-lo)
+			for i, m := range members[lo:hi] {
+				ranks[i] = parent.g.ranks[m.commRank]
+			}
+			g := rt.newGroup(ranks, slotOf)
+			for i, m := range members[lo:hi] {
+				e.groups[m.commRank] = g
+				e.newRank[m.commRank] = i
+			}
+			lo = hi
+		}
+		e.pairs = nil
+		e.remaining = n
+	}
+	g, rank := e.groups[parent.myRank], e.newRank[parent.myRank]
+	if e.remaining--; e.remaining == 0 {
+		delete(rt.splits, k)
+	}
+	return g, rank, nil
 }
 
 // RunError wraps a task failure.
@@ -226,7 +296,13 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if rt.lean && cfg.Trace != nil && !cfg.Trace.Streaming() {
 		return nil, fmt.Errorf("core: lean mode above %d ranks requires a streaming tracer (span sink): a buffered trace would hold the whole causal graph in RAM", leanRankThreshold)
 	}
+	world := make([]int, len(rt.placements))
+	for i := range world {
+		world[i] = i
+	}
+	rt.world = rt.newGroup(world, make([]int, nNodes))
 	mcfg := cfg.msgConfig()
+	local := make([]int, nNodes) // tasks placed so far per node
 	for rank, pl := range rt.placements {
 		ns, ok := rt.nodes[pl.Node]
 		if !ok {
@@ -268,7 +344,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			}
 			rt.nodes[pl.Node] = ns
 		}
-		rt.tasks = append(rt.tasks, rt.newTask(rank, pl, ns))
+		rt.tasks = append(rt.tasks, rt.newTask(rank, local[pl.Node], pl, ns))
+		local[pl.Node]++
 	}
 	return rt, nil
 }
@@ -363,11 +440,13 @@ func (rt *Runtime) runMetrics() *telemetry.Registry {
 		// registered, so a single-shard run merges nothing at all and a
 		// sharded run only pays for the other shards' series. Reuse is safe
 		// because the run is over (engines quiescent) and nothing reads the
-		// shard registries afterwards; the clock is repointed at the group's
+		// shard registries afterwards; the clock is pinned to the group's
 		// final virtual time so report-time gauges stamp like a single
-		// engine's would.
+		// engine's would. That time is read once: MaxNow scans every shard,
+		// and the quiescent engines cannot move it.
 		reg := rt.shards[0].Metrics
-		reg.SetClock(func() int64 { return int64(rt.group.MaxNow()) })
+		end := int64(rt.group.MaxNow())
+		reg.SetClock(func() int64 { return end })
 		for _, e := range rt.shards[1:] {
 			reg.Merge(e.Metrics)
 		}

@@ -79,18 +79,13 @@ func (s *taskSink) Edge(kind string, from, to uint64, at sim.Time) {
 }
 
 // newTask wires one task's space, endpoint, device context, and ACC env.
-func (rt *Runtime) newTask(rank int, pl Placement, ns *nodeState) *Task {
-	t := &Task{rank: rank, rt: rt, node: ns, pl: pl}
+func (rt *Runtime) newTask(rank, local int, pl Placement, ns *nodeState) *Task {
+	t := &Task{rank: rank, local: local, rt: rt, node: ns, pl: pl}
 	sys := rt.Cfg.System
 	if rt.Cfg.Mode == IMPACC {
 		t.space = ns.space
 	} else {
 		t.space = xmem.NewSpace(fmt.Sprintf("proc%d", rank), len(sys.Nodes[pl.Node].Devices))
-	}
-	for _, other := range rt.placements[:rank] {
-		if other.Node == pl.Node {
-			t.local++
-		}
 	}
 	// Application host arrays are pageable under both runtimes; only the
 	// message hub's internal staging buffers are pre-pinned (paper §3.7).
@@ -106,7 +101,7 @@ func (rt *Runtime) newTask(rank int, pl Placement, ns *nodeState) *Task {
 	t.scratch, _ = t.space.AllocHost(64, false)
 	t.uqPending = map[int][]*uqOp{}
 	t.mpiLat = map[string]*telemetry.Histogram{}
-	t.world = rt.newWorld(t)
+	t.world = &Comm{t: t, g: rt.world, myRank: rank}
 	return t
 }
 

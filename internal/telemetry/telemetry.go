@@ -15,6 +15,7 @@ package telemetry
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -271,13 +272,29 @@ func (r *Registry) Merge(src *Registry) {
 	defer r.mu.Unlock()
 	for _, name := range src.names {
 		sf := src.families[name]
+		df := r.families[name]
+		if df == nil {
+			df = &family{name: name, help: sf.help, kind: sf.kind,
+				keys: slices.Clone(sf.keys), series: make(map[string]*series, len(sf.order))}
+			r.families[name] = df
+			r.names = append(r.names, name)
+		} else if df.kind != sf.kind {
+			panic(fmt.Sprintf("telemetry: %s registered as %v, requested as %v", name, df.kind, sf.kind))
+		} else if !slices.Equal(df.keys, sf.keys) {
+			panic(fmt.Sprintf("telemetry: %s label schema %v, requested %v", name, df.keys, sf.keys))
+		}
+		// Both families share one label schema, so a source series key is
+		// also its destination key; missing series are created in source
+		// order, exactly as get would have created them.
 		for _, k := range sf.order {
 			ss := sf.series[k]
-			kv := make([]string, 0, 2*len(sf.keys))
-			for i, key := range sf.keys {
-				kv = append(kv, key, ss.values[i])
+			ds := df.series[k]
+			if ds == nil {
+				ds = &series{values: slices.Clone(ss.values)}
+				df.series[k] = ds
+				df.order = append(df.order, k)
 			}
-			mergeSeries(r.get(name, sf.help, sf.kind, kv), ss, sf.kind)
+			mergeSeries(ds, ss, sf.kind)
 		}
 	}
 }
