@@ -39,24 +39,6 @@ func parseSystem(s string) (*topo.System, error) {
 	return topo.Preset(s)
 }
 
-func parseStyle(s string) (apps.Style, error) {
-	switch s {
-	case "sync":
-		return apps.StyleSync, nil
-	case "async":
-		return apps.StyleAsync, nil
-	case "unified":
-		return apps.StyleUnified, nil
-	}
-	return 0, fmt.Errorf("unknown style %q (sync, async, unified)", s)
-}
-
-var epClasses = map[string]apps.EPClass{
-	"S": apps.EPClassS, "W": apps.EPClassW, "A": apps.EPClassA,
-	"B": apps.EPClassB, "C": apps.EPClassC, "D": apps.EPClassD,
-	"E": apps.EPClassE, "64xE": apps.EPClassT,
-}
-
 func main() {
 	var (
 		app     = flag.String("app", "jacobi", "application: dgemm, ep, jacobi, lulesh")
@@ -110,7 +92,7 @@ func main() {
 		st = apps.StyleAsync
 	}
 	if *style != "" {
-		st, err = parseStyle(*style)
+		st, err = apps.ParseStyle(*style)
 		fatal(err)
 	}
 	if *verify {
@@ -178,10 +160,8 @@ func main() {
 	case "dgemm":
 		prog = apps.DGEMM(apps.DGEMMConfig{N: *n, Style: st, Verify: *verify})
 	case "ep":
-		c, ok := epClasses[*class]
-		if !ok {
-			fatal(fmt.Errorf("unknown EP class %q", *class))
-		}
+		c, err := apps.ParseEPClass(*class)
+		fatal(err)
 		shift := 0
 		if *backed {
 			shift = 12 // execute a sample of the pairs, price the full class

@@ -25,6 +25,20 @@ const (
 	StyleUnified
 )
 
+// ParseStyle parses a style by the name String gives it, the spelling
+// impacc-run's -style flag and serve's job API accept.
+func ParseStyle(s string) (Style, error) {
+	switch s {
+	case "sync":
+		return StyleSync, nil
+	case "async":
+		return StyleAsync, nil
+	case "unified":
+		return StyleUnified, nil
+	}
+	return 0, fmt.Errorf("unknown style %q (sync, async, unified)", s)
+}
+
 func (s Style) String() string {
 	switch s {
 	case StyleSync:

@@ -26,6 +26,49 @@ func TestStyleString(t *testing.T) {
 	}
 }
 
+func TestParseStyle(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Style
+		ok   bool
+	}{
+		{"sync", StyleSync, true},
+		{"async", StyleAsync, true},
+		{"unified", StyleUnified, true},
+		{"turbo", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseStyle(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseStyle(%q) = %v, %v", tc.in, got, err)
+		}
+	}
+}
+
+func TestEPClassTable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want EPClass
+		ok   bool
+	}{
+		{"S", EPClassS, true},
+		{"W", EPClassW, true},
+		{"A", EPClassA, true},
+		{"B", EPClassB, true},
+		{"C", EPClassC, true},
+		{"D", EPClassD, true},
+		{"E", EPClassE, true},
+		{"64xE", EPClassT, true},
+		{"T", EPClass{}, false},
+		{"a", EPClass{}, false},
+	} {
+		got, err := ParseEPClass(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseEPClass(%q) = %v, %v", tc.name, got, err)
+		}
+	}
+}
+
 func TestDGEMMCorrectAllStyles(t *testing.T) {
 	for _, style := range []Style{StyleSync, StyleAsync, StyleUnified} {
 		t.Run(style.String(), func(t *testing.T) {

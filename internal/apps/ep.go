@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"math"
 
 	"impacc/internal/core"
@@ -29,6 +30,16 @@ var (
 	EPClassE = EPClass{"E", 39}
 	EPClassT = EPClass{"64xE", 45} // Titan class
 )
+
+// ParseEPClass returns the class with the given name (S W A B C D E 64xE).
+func ParseEPClass(name string) (EPClass, error) {
+	for _, c := range []EPClass{EPClassS, EPClassW, EPClassA, EPClassB, EPClassC, EPClassD, EPClassE, EPClassT} {
+		if c.Name == name {
+			return c, nil
+		}
+	}
+	return EPClass{}, fmt.Errorf("unknown EP class %q", name)
+}
 
 // Pairs returns the total number of random pairs.
 func (c EPClass) Pairs() float64 { return math.Pow(2, float64(c.M+1)) }

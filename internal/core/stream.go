@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 	"math"
-	"sort"
 
 	"impacc/internal/prof"
 	"impacc/internal/sim"
@@ -18,91 +15,22 @@ import (
 // from the coordinating goroutine only (between simulation windows and after
 // the run), never concurrently.
 type SpanSink interface {
-	Emit(recs []prof.StreamRec) error
+	Emit(recs []prof.Rec) error
 	Close(makespan sim.Time) error
 }
 
-// streamWriter is the JSONL SpanSink (see prof's stream format): a header
-// line, one line per record, and an end line carrying the makespan. Output
-// is buffered; errors stick and resurface on every later call.
-type streamWriter struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	err error
-}
+// NewStreamWriter returns a SpanSink writing the JSONL trace stream to w
+// (see prof.StreamWriter).
+func NewStreamWriter(w io.Writer) SpanSink { return prof.NewStreamWriter(w) }
 
-// NewStreamWriter returns a SpanSink writing the JSONL trace stream to w.
-// The header is written immediately; the caller still owns w and closes it
-// after Close.
-func NewStreamWriter(w io.Writer) SpanSink {
-	bw := bufio.NewWriter(w)
-	sw := &streamWriter{bw: bw, enc: json.NewEncoder(bw)}
-	sw.err = sw.enc.Encode(struct {
-		T string `json:"t"`
-		V string `json:"v"`
-	}{"stream", prof.StreamVersion})
-	return sw
-}
-
-func (sw *streamWriter) Emit(recs []prof.StreamRec) error {
-	if sw.err != nil {
-		return sw.err
+// emit sorts recs into canonical stream order, hands them to sink, and
+// returns the latest stamp (0 for no records).
+func emit(sink SpanSink, recs []prof.Rec) (sim.Time, error) {
+	if len(recs) == 0 {
+		return 0, nil
 	}
-	for i := range recs {
-		if sw.err = sw.enc.Encode(&recs[i]); sw.err != nil {
-			return sw.err
-		}
-	}
-	return nil
-}
-
-func (sw *streamWriter) Close(makespan sim.Time) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	sw.err = sw.enc.Encode(struct {
-		T        string `json:"t"`
-		Makespan int64  `json:"makespan_ns"`
-	}{"end", int64(makespan)})
-	if sw.err == nil {
-		sw.err = sw.bw.Flush()
-	}
-	return sw.err
-}
-
-// wireRec converts one lane record to its wire form.
-func wireRec(node int, r *streamRec) prof.StreamRec {
-	w := prof.StreamRec{Node: node, Seq: r.seq, At: int64(r.at)}
-	switch r.kind {
-	case recSpan:
-		w.T = "span"
-		s := r.span
-		w.Span = &s
-	case recEdge:
-		w.T = "edge"
-		e := prof.Edge{Kind: r.edge.kind, From: r.edge.from, To: r.edge.to,
-			At: r.edge.at, Post: r.edge.post, Bytes: r.edge.bytes}
-		w.Edge = &e
-	case recClaim:
-		w.T = "claim"
-		w.Cmd = r.cmd
-		w.Sid = r.claimed
-	}
-	return w
-}
-
-// sortStream orders wire records by the canonical stream order
-// (at, node, seq) — a total order, since (node, seq) is unique.
-func sortStream(recs []prof.StreamRec) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].At != recs[j].At {
-			return recs[i].At < recs[j].At
-		}
-		if recs[i].Node != recs[j].Node {
-			return recs[i].Node < recs[j].Node
-		}
-		return recs[i].Seq < recs[j].Seq
-	})
+	prof.SortRecs(recs)
+	return recs[len(recs)-1].At, sink.Emit(recs)
 }
 
 // FlushWindow emits every retained record stamped strictly before fence and
@@ -118,33 +46,25 @@ func (tr *Tracer) FlushWindow(fence sim.Time) {
 	tr.batch = tr.batch[:0]
 	for _, l := range tr.lanes {
 		n := 0
-		for n < len(l.recs) && l.recs[n].at < fence {
+		for n < len(l.recs) && l.recs[n].At < fence {
 			n++
 		}
 		if n == 0 {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			tr.batch = append(tr.batch, wireRec(l.node, &l.recs[i]))
-		}
+		tr.batch = append(tr.batch, l.recs[:n]...)
 		rest := copy(l.recs, l.recs[n:])
 		clear(l.recs[rest:]) // release span/edge strings held by the flushed prefix
 		l.recs = l.recs[:rest]
 	}
-	if len(tr.batch) == 0 {
-		return
-	}
-	sortStream(tr.batch)
-	if last := sim.Time(tr.batch[len(tr.batch)-1].At); last > tr.maxFlushed {
-		tr.maxFlushed = last
-	}
-	tr.sinkErr = tr.sink.Emit(tr.batch)
+	var last sim.Time
+	last, tr.sinkErr = emit(tr.sink, tr.batch)
+	tr.maxFlushed = max(tr.maxFlushed, last)
 }
 
 // CloseStream flushes everything still retained and finalizes the sink with
-// the run's makespan (clamped up to the latest flushed stamp, mirroring the
-// buffered exporters' maxEnd clamp). Returns the first sink error, if any.
-// No-op on buffered tracers.
+// the run's makespan (clamped up to the latest flushed stamp). Returns the
+// first sink error, if any. No-op on buffered tracers.
 func (tr *Tracer) CloseStream(makespan sim.Time) error {
 	if tr.sink == nil {
 		return nil
@@ -153,10 +73,7 @@ func (tr *Tracer) CloseStream(makespan sim.Time) error {
 	if tr.sinkErr != nil {
 		return tr.sinkErr
 	}
-	if makespan < tr.maxFlushed {
-		makespan = tr.maxFlushed
-	}
-	tr.sinkErr = tr.sink.Close(makespan)
+	tr.sinkErr = tr.sink.Close(max(makespan, tr.maxFlushed))
 	return tr.sinkErr
 }
 
@@ -165,24 +82,17 @@ func (tr *Tracer) StreamErr() error { return tr.sinkErr }
 
 // WriteStream exports a buffered tracer as the trace stream: every record
 // of every lane merged into canonical stream order and written through the
-// same sink implementation the streaming path uses, so the bytes are
-// identical to a streamed run of the same job.
+// same sort and writer the streaming path uses, so the bytes are identical
+// to a streamed run of the same job.
 func (tr *Tracer) WriteStream(w io.Writer, makespan sim.Time) error {
-	sink := NewStreamWriter(w)
-	var recs []prof.StreamRec
+	var recs []prof.Rec
 	for _, l := range tr.lanes {
-		for i := range l.recs {
-			recs = append(recs, wireRec(l.node, &l.recs[i]))
-		}
+		recs = append(recs, l.recs...)
 	}
-	sortStream(recs)
-	if err := sink.Emit(recs); err != nil {
+	sink := NewStreamWriter(w)
+	last, err := emit(sink, recs)
+	if err != nil {
 		return err
 	}
-	if n := len(recs); n > 0 {
-		if last := sim.Time(recs[n-1].At); makespan < last {
-			makespan = last
-		}
-	}
-	return sink.Close(makespan)
+	return sink.Close(max(makespan, last))
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -18,44 +19,6 @@ import (
 // without importing the runtime.
 type Span = prof.Span
 
-// rawEdge is a dependency recorded during the run. Message edges carry
-// command trace IDs (resolved to the claiming spans at export time); stream
-// and event edges carry span IDs directly.
-type rawEdge struct {
-	kind     string // msg | stream | event
-	from, to uint64
-	post, at sim.Time
-	bytes    int64
-}
-
-// Record kinds of streamRec.
-const (
-	recSpan = uint8(iota)
-	recEdge
-	recClaim
-)
-
-// streamRec is one entry of a lane's unified record log: a closed span, a
-// causal edge, or a command claim. Every record carries its stamp — the
-// virtual instant it was appended (a span's end, an edge's match time, a
-// claim's claim time) — plus a lane-local sequence number. Records are only
-// ever appended at the owning engine's current time and the clock never
-// moves backwards, so stamps are non-decreasing within a lane; the total
-// order (stamp, node, seq) is therefore the canonical stream order, and any
-// window fence F splits every lane's log exactly: records below F are final,
-// and anything recorded later lands at or above F. That split is what lets
-// the streaming sink flush incrementally yet stay byte-identical to a full
-// post-run sort (see FlushWindow / WriteStream).
-type streamRec struct {
-	at   sim.Time
-	seq  uint64
-	kind uint8
-	span Span    // recSpan
-	edge rawEdge // recEdge
-	// recClaim: command trace ID and the span that claimed it.
-	cmd, claimed uint64
-}
-
 // traceLane is the slice of the trace owned by one node. Under sharded
 // execution every node's events run on that node's engine, so routing each
 // append to the recording node's lane keeps the tracer lock-free: a lane is
@@ -65,17 +28,17 @@ type streamRec struct {
 // shard along with the spans.
 type traceLane struct {
 	node    int
-	recs    []streamRec
+	recs    []prof.Rec
 	recSeq  uint64
 	nextID  uint64
-	claims  map[uint64]uint64 // command trace ID -> claiming span ID (buffered mode only)
-	pending map[int][]uint64  // rank -> posted, not-yet-claimed command IDs
+	pending map[int][]uint64 // rank -> posted, not-yet-claimed command IDs
 }
 
-// push appends one record, stamping it with the lane-local sequence.
-func (l *traceLane) push(r streamRec) {
+// push appends one record, stamping it with the lane's node and the
+// lane-local sequence.
+func (l *traceLane) push(r prof.Rec) {
 	l.recSeq++
-	r.seq = l.recSeq
+	r.Node, r.Seq = l.node, l.recSeq
 	l.recs = append(l.recs, r)
 }
 
@@ -95,10 +58,10 @@ type Tracer struct {
 	lanes   []*traceLane // indexed by node; lane 0 always exists
 	metrics *telemetry.Snapshot
 
-	sink       SpanSink         // non-nil in streaming mode
-	sinkErr    error            // first sink failure; recording continues, flushing stops
-	batch      []prof.StreamRec // flush scratch, reused across windows
-	maxFlushed sim.Time         // latest stamp handed to the sink
+	sink       SpanSink   // non-nil in streaming mode
+	sinkErr    error      // first sink failure; recording continues, flushing stops
+	batch      []prof.Rec // flush scratch, reused across windows
+	maxFlushed sim.Time   // latest stamp handed to the sink
 }
 
 // NewTracer returns an empty buffered tracer.
@@ -126,11 +89,7 @@ func (tr *Tracer) Streaming() bool { return tr.sink != nil }
 // grow, so all growth happens here.
 func (tr *Tracer) Reserve(nodes int) {
 	for len(tr.lanes) < nodes {
-		l := &traceLane{node: len(tr.lanes), pending: map[int][]uint64{}}
-		if tr.sink == nil {
-			l.claims = map[uint64]uint64{}
-		}
-		tr.lanes = append(tr.lanes, l)
+		tr.lanes = append(tr.lanes, &traceLane{node: len(tr.lanes), pending: map[int][]uint64{}})
 	}
 }
 
@@ -178,8 +137,7 @@ func (tr *Tracer) record(s Span) uint64 {
 	if s.End < s.Start {
 		s.End = s.Start
 	}
-	l := tr.lane(s.Node)
-	l.push(streamRec{at: s.End, kind: recSpan, span: s})
+	tr.lane(s.Node).push(prof.Rec{At: s.End, Kind: prof.RecSpan, Span: s})
 	return s.ID
 }
 
@@ -187,18 +145,16 @@ func (tr *Tracer) record(s Span) uint64 {
 // are command trace IDs, post is when the sender initiated the operation,
 // at the match instant (which stamps the record).
 func (tr *Tracer) msgEdge(node int, from, to uint64, post, at sim.Time, bytes int64) {
-	l := tr.lane(node)
-	l.push(streamRec{at: at, kind: recEdge,
-		edge: rawEdge{kind: "msg", from: from, to: to, post: post, at: at, bytes: bytes}})
+	tr.lane(node).push(prof.Rec{At: at, Kind: prof.RecEdge,
+		Edge: prof.Edge{Kind: "msg", From: from, To: to, Post: post, At: at, Bytes: bytes}})
 }
 
 // depEdge records a stream or event ordering edge between span IDs on the
 // owning node's lane. at must be the recording engine's current time (every
 // call site passes a now-derived stamp).
 func (tr *Tracer) depEdge(node int, kind string, from, to uint64, at sim.Time) {
-	l := tr.lane(node)
-	l.push(streamRec{at: at, kind: recEdge,
-		edge: rawEdge{kind: kind, from: from, to: to, at: at}})
+	tr.lane(node).push(prof.Rec{At: at, Kind: prof.RecEdge,
+		Edge: prof.Edge{Kind: kind, From: from, To: to, At: at}})
 }
 
 // registerPending notes a command posted by rank (hosted on node) whose
@@ -211,22 +167,14 @@ func (tr *Tracer) registerPending(node, rank int, id uint64) {
 // pendingMark returns a scope marker for claimSince.
 func (tr *Tracer) pendingMark(node, rank int) int { return len(tr.lane(node).pending[rank]) }
 
-// claim binds command cmdID to span spanID; the first claim wins, so an
-// inner blocking call keeps its precise span even when an enclosing
+// claim binds command cmdID to span spanID, stamped with at, the claiming
+// instant. Every claim is logged and prof.Assemble applies the first one, so
+// an inner blocking call keeps its precise span even when an enclosing
 // collective sweeps the region afterwards. Commands are only ever claimed
-// by the rank that posted them, so the claim lands on that rank's lane.
-// Every claim call is logged (stamped with at, the claiming instant); the
-// first-wins rule is applied by the claims map in buffered mode and by the
-// stream reader in claim order, which agree because a command's claims all
-// land on one lane, where record order is claim order.
+// by the rank that posted them, so all of a command's claims land on that
+// rank's lane, where record order is claim order.
 func (tr *Tracer) claim(node int, cmdID, spanID uint64, at sim.Time) {
-	l := tr.lane(node)
-	l.push(streamRec{at: at, kind: recClaim, cmd: cmdID, claimed: spanID})
-	if l.claims != nil {
-		if _, ok := l.claims[cmdID]; !ok {
-			l.claims[cmdID] = spanID
-		}
-	}
+	tr.lane(node).push(prof.Rec{At: at, Kind: prof.RecClaim, Cmd: cmdID, Sid: spanID})
 }
 
 // claimSince claims every command rank posted after mark for spanID — the
@@ -244,32 +192,24 @@ func (tr *Tracer) claimSince(node, rank, mark int, spanID uint64, at sim.Time) {
 	l.pending[rank] = pend[:mark]
 }
 
-// allSpans concatenates the lanes' spans in node order.
-func (tr *Tracer) allSpans() []Span {
-	var out []Span
-	for _, l := range tr.lanes {
-		for i := range l.recs {
-			if l.recs[i].kind == recSpan {
-				out = append(out, l.recs[i].span)
-			}
-		}
-	}
+// Spans returns the collected spans sorted by start time.
+func (tr *Tracer) Spans() []Span {
+	out := tr.Data(0).Spans
+	sortByStart(out)
 	return out
 }
 
-// Spans returns the collected spans sorted by start time.
-func (tr *Tracer) Spans() []Span {
-	out := tr.allSpans()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+// sortByStart orders spans by (Start, Rank, ID).
+func sortByStart(spans []Span) {
+	sort.Slice(spans, func(i, j int) bool {
+		if spans[i].Start != spans[j].Start {
+			return spans[i].Start < spans[j].Start
 		}
-		if out[i].Rank != out[j].Rank {
-			return out[i].Rank < out[j].Rank
+		if spans[i].Rank != spans[j].Rank {
+			return spans[i].Rank < spans[j].Rank
 		}
-		return out[i].ID < out[j].ID
+		return spans[i].ID < spans[j].ID
 	})
-	return out
 }
 
 // Len reports the number of retained spans (0 after streaming flushes).
@@ -277,7 +217,7 @@ func (tr *Tracer) Len() int {
 	n := 0
 	for _, l := range tr.lanes {
 		for i := range l.recs {
-			if l.recs[i].kind == recSpan {
+			if l.recs[i].Kind == prof.RecSpan {
 				n++
 			}
 		}
@@ -285,61 +225,14 @@ func (tr *Tracer) Len() int {
 	return n
 }
 
-// maxEnd is the latest span end — the makespan fallback when the tracer is
-// exported without a run report.
-func (tr *Tracer) maxEnd() sim.Time {
-	var m sim.Time
-	for _, l := range tr.lanes {
-		for i := range l.recs {
-			if l.recs[i].kind == recSpan && l.recs[i].span.End > m {
-				m = l.recs[i].span.End
-			}
-		}
-	}
-	return m
-}
-
-// Data assembles the causal trace: spans sorted by ID and edges (lanes
-// merged in node order) with message endpoints resolved from command IDs to
-// their claiming spans. Edges whose endpoints have no recorded span are
-// dropped.
+// Data assembles the causal trace from the retained records (see
+// prof.Assemble); makespan is clamped up to the latest span end.
 func (tr *Tracer) Data(makespan sim.Time) prof.Trace {
-	spans := tr.allSpans()
-	sort.Slice(spans, func(i, j int) bool { return spans[i].ID < spans[j].ID })
-	ids := make(map[uint64]bool, len(spans))
-	for i := range spans {
-		ids[spans[i].ID] = true
+	lanes := make([][]prof.Rec, len(tr.lanes))
+	for i, l := range tr.lanes {
+		lanes[i] = l.recs
 	}
-	resolve := func(id uint64) uint64 {
-		for _, l := range tr.lanes {
-			if sp, ok := l.claims[id]; ok && ids[sp] {
-				return sp
-			}
-		}
-		return id
-	}
-	edges := make([]prof.Edge, 0)
-	for _, l := range tr.lanes {
-		for i := range l.recs {
-			if l.recs[i].kind != recEdge {
-				continue
-			}
-			e := l.recs[i].edge
-			pe := prof.Edge{Kind: e.kind, From: e.from, To: e.to, At: e.at, Post: e.post, Bytes: e.bytes}
-			if e.kind == "msg" {
-				pe.From = resolve(e.from)
-				pe.To = resolve(e.to)
-			}
-			if !ids[pe.From] || !ids[pe.To] {
-				continue
-			}
-			edges = append(edges, pe)
-		}
-	}
-	if makespan < tr.maxEnd() {
-		makespan = tr.maxEnd()
-	}
-	return prof.Trace{Makespan: makespan, Spans: spans, Edges: edges}
+	return prof.Assemble(lanes, makespan)
 }
 
 // WriteJSON emits the spans as a JSON array.
@@ -387,7 +280,9 @@ func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
 	for i := range data.Spans {
 		byID[data.Spans[i].ID] = &data.Spans[i]
 	}
-	for _, s := range tr.Spans() {
+	spans := slices.Clone(data.Spans)
+	sortByStart(spans)
+	for _, s := range spans {
 		ev := chromeEvent{
 			Name: fmt.Sprintf("%s:%s", s.Kind, s.Name),
 			Cat:  s.Kind,

@@ -74,12 +74,6 @@ type compiled struct {
 	progressEvery sim.Dur
 }
 
-var epClasses = map[string]apps.EPClass{
-	"S": apps.EPClassS, "W": apps.EPClassW, "A": apps.EPClassA,
-	"B": apps.EPClassB, "C": apps.EPClassC, "D": apps.EPClassD,
-	"E": apps.EPClassE, "64xE": apps.EPClassT,
-}
-
 // compile resolves spec into a compiled job or a client error. It is pure:
 // the same spec always compiles to the same key.
 func compile(spec JobSpec) (*compiled, error) {
@@ -99,16 +93,10 @@ func compile(spec JobSpec) (*compiled, error) {
 	if mode == core.Legacy {
 		style = apps.StyleAsync
 	}
-	switch spec.Style {
-	case "":
-	case "sync":
-		style = apps.StyleSync
-	case "async":
-		style = apps.StyleAsync
-	case "unified":
-		style = apps.StyleUnified
-	default:
-		return nil, fmt.Errorf("serve: unknown style %q (sync, async, unified)", spec.Style)
+	if spec.Style != "" {
+		if style, err = apps.ParseStyle(spec.Style); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
 	}
 	mask, err := topo.ParseClassMask(spec.Devices)
 	if err != nil {
@@ -155,9 +143,9 @@ func compile(spec JobSpec) (*compiled, error) {
 		if class == "" {
 			class = "A"
 		}
-		ec, ok := epClasses[class]
-		if !ok {
-			return nil, fmt.Errorf("serve: unknown EP class %q", class)
+		ec, err := apps.ParseEPClass(class)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
 		}
 		shift := 0
 		if backed {

@@ -34,11 +34,10 @@ type ShardGroup struct {
 	lookahead Dur
 	workers   int
 
-	// Deadline, MaxTime, and MaxEvents mirror the Engine fields but act on
-	// the group's global virtual clock (the minimum next event time) and
-	// the shards' combined dispatch count.
+	// Deadline and MaxEvents mirror the Engine fields but act on the
+	// group's global virtual clock (the minimum next event time) and the
+	// shards' combined dispatch count.
 	Deadline  Time
-	MaxTime   Time
 	MaxEvents uint64
 
 	// BeatEvery, when positive, divides virtual time into beat intervals
@@ -189,9 +188,6 @@ func (g *ShardGroup) windows() error {
 			if g.Deadline != 0 && g.nextBeat > g.Deadline {
 				break
 			}
-			if g.MaxTime != 0 && g.nextBeat > g.MaxTime {
-				break
-			}
 			if g.OnBeat != nil {
 				g.OnBeat(g.nextBeat)
 			}
@@ -200,18 +196,12 @@ func (g *ShardGroup) windows() error {
 		if g.Deadline != 0 && T > g.Deadline {
 			return &LimitError{Resource: "vtime", Limit: int64(g.Deadline), At: g.MaxNow()}
 		}
-		if g.MaxTime != 0 && T > g.MaxTime {
-			return nil // silent truncation, like Engine.MaxTime
-		}
 		fence := timeInfinity
 		if n > 1 {
 			fence = T + Time(g.lookahead)
 		}
 		if g.Deadline != 0 && fence > g.Deadline+1 {
 			fence = g.Deadline + 1
-		}
-		if g.MaxTime != 0 && fence > g.MaxTime+1 {
-			fence = g.MaxTime + 1
 		}
 		// Clamp the window to the next beat boundary so no shard dispatches
 		// an event past a boundary before the boundary is observed. The
