@@ -2,6 +2,8 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 )
@@ -44,15 +46,24 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxSpecBytes bounds a submitted job spec's body. A spec is well under
+// 1 KiB; anything past the cap is refused before it is decoded.
+const maxSpecBytes = 64 << 10
+
 type apiError struct {
 	Error string `json:"error"`
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				apiError{fmt.Sprintf("job spec exceeds the %d-byte limit", tooBig.Limit)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, apiError{"bad job spec: " + err.Error()})
 		return
 	}

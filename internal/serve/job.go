@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"impacc/internal/apps"
@@ -47,7 +48,9 @@ type JobSpec struct {
 	// It only changes wall-clock speed — every worker count produces
 	// byte-identical artifacts — so it is deliberately NOT part of the job's
 	// content address: serial and parallel submissions of the same job
-	// coalesce onto one cache entry.
+	// coalesce onto one cache entry. compile clamps it to
+	// [1, GOMAXPROCS]: a client cannot ask for more workers than the host
+	// runs at once.
 	ParSim int `json:"par_sim,omitempty"`
 	// Lean turns on the memory-lean big-run mode (impacc-run -lean): above
 	// 256 ranks per-rank telemetry and heartbeats aggregate. Lean changes
@@ -109,8 +112,9 @@ func compile(spec JobSpec) (*compiled, error) {
 	}
 	cfg := core.Config{
 		System: sys, Mode: mode, MaxTasks: spec.Tasks, DeviceTypes: mask,
-		Backed: backed, Seed: seed, JitterPct: 1, Parallel: spec.ParSim,
-		Lean: spec.Lean,
+		Backed: backed, Seed: seed, JitterPct: 1,
+		Parallel: min(max(spec.ParSim, 1), runtime.GOMAXPROCS(0)),
+		Lean:     spec.Lean,
 	}
 	if spec.Chaos != "" {
 		cfg.Chaos, err = fault.ParseSpec(spec.Chaos)

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -307,6 +309,59 @@ func TestParSimCoalesces(t *testing.T) {
 	sts, code := postJob(t, ts2, serial, false)
 	if code != 200 || !sts.Cached || sts.Key != stp.Key {
 		t.Fatalf("serial resubmit -> %d %+v, want hit on %s", code, sts, stp.Key)
+	}
+}
+
+// TestParSimClamped: a client's par_sim is clamped to [1, GOMAXPROCS]
+// before it reaches the engine, and clamping never moves the content
+// address. The specs are only compiled, never run.
+func TestParSimClamped(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	base, err := compile(smallJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ parSim, want int }{
+		{0, 1}, {-5, 1}, {1, 1}, {procs, procs}, {procs + 1, procs}, {1 << 30, procs},
+	} {
+		spec := smallJob()
+		spec.ParSim = c.parSim
+		got, err := compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.cfg.Parallel != c.want {
+			t.Errorf("par_sim=%d compiled to Parallel=%d, want %d", c.parSim, got.cfg.Parallel, c.want)
+		}
+		if got.key != base.key {
+			t.Errorf("par_sim=%d changed the job key: %s vs %s", c.parSim, got.key, base.key)
+		}
+	}
+}
+
+// TestSubmitBodyLimit: a job spec body past the fixed cap is refused with
+// 413 and an error naming the limit, before any of it is decoded.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	body := `{"system":"beacon:2","app":"jacobi","chaos":"` + strings.Repeat("x", maxSpecBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr apiError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec -> %d %q, want 413", resp.StatusCode, apiErr.Error)
+	}
+	if want := strconv.Itoa(maxSpecBytes); !strings.Contains(apiErr.Error, want) {
+		t.Fatalf("error %q does not name the %s-byte limit", apiErr.Error, want)
+	}
+	// A spec under the cap is still accepted.
+	if st, code := postJob(t, ts, smallJob(), true); code != http.StatusOK || st.State != stateDone {
+		t.Fatalf("small spec after an oversized one -> %d %+v", code, st)
 	}
 }
 

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -50,28 +49,40 @@ type BucketSnap struct {
 }
 
 // Snapshot exports the registry's current state at virtual time atNs.
+// Each family's Series is sized once, and its series' Labels are carved
+// out of one backing array per family.
 func (r *Registry) Snapshot(atNs int64) *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	snap := &Snapshot{AtNs: atNs, Families: []FamilySnap{}, index: map[string]int{}}
+	snap := &Snapshot{AtNs: atNs, Families: make([]FamilySnap, 0, len(r.names)),
+		index: make(map[string]int, len(r.names))}
 	for _, f := range r.sortedFamilies() {
 		fs := FamilySnap{Name: f.name, Help: f.help, Kind: f.kind.String()}
-		for _, s := range f.sortedSeries() {
-			ss := SeriesSnap{LastNs: s.lastNs}
-			for i, k := range f.keys {
-				ss.Labels = append(ss.Labels, Label{Key: k, Value: s.values[i]})
+		sorted := f.sortedSeries()
+		fs.Series = make([]SeriesSnap, len(sorted))
+		nk := len(f.keys)
+		labels := make([]Label, len(sorted)*nk)
+		for j, s := range sorted {
+			ss := &fs.Series[j]
+			ss.LastNs = s.lastNs
+			if nk > 0 {
+				ss.Labels = labels[j*nk : (j+1)*nk : (j+1)*nk]
+				for i, k := range f.keys {
+					ss.Labels[i] = Label{Key: k, Value: s.values[i]}
+				}
 			}
 			switch f.kind {
 			case KindCounter:
-				ss.Value = s.ival
+				ss.Value = s.val
 			case KindGauge:
-				ss.GaugeValue = s.fval
+				ss.GaugeValue = s.gauge()
 			default:
-				ss.Count = s.count
-				ss.Sum = s.sum
-				ss.Min = s.min
-				ss.Max = s.max
-				for i, n := range s.buckets {
+				h := s.hist
+				ss.Count = h.count
+				ss.Sum = h.sum
+				ss.Min = h.min
+				ss.Max = h.max
+				for i, n := range h.buckets {
 					if n == 0 {
 						continue
 					}
@@ -82,7 +93,6 @@ func (r *Registry) Snapshot(atNs int64) *Snapshot {
 					ss.Buckets = append(ss.Buckets, BucketSnap{Le: le, N: n})
 				}
 			}
-			fs.Series = append(fs.Series, ss)
 		}
 		snap.index[f.name] = len(snap.Families)
 		snap.Families = append(snap.Families, fs)
@@ -114,13 +124,6 @@ func (ss *SeriesSnap) Label(key string) string {
 		}
 	}
 	return ""
-}
-
-// WriteJSON emits the snapshot as indented JSON. Output is deterministic.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(s)
 }
 
 // promEscape escapes a label value for the Prometheus text format.

@@ -14,10 +14,10 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -71,25 +71,42 @@ type family struct {
 	help   string
 	kind   Kind
 	keys   []string
-	series map[string]*series
-	order  []string // series keys in insertion order
+	series map[string]*series // keyed by label values joined by \x1f
 }
 
-// series is one (family, label values) time series.
+// series is one (family, label values) time series. A counter or gauge
+// series holds just its label values, its stamp and one value word;
+// histogram state lives behind hist, which only histogram series allocate,
+// so a node-scale family of counters and gauges costs a few dozen bytes
+// per series.
 type series struct {
-	values []string // label values, aligned with family.keys
+	values []string // label values, aligned with family.keys; never mutated
 	lastNs int64    // virtual time of the last mutation
+	val    int64    // counter value, or a gauge's float64 bits
+	hist   *histState
+}
 
-	// counter/gauge state
-	ival int64
-	fval float64
+func (s *series) gauge() float64 { return math.Float64frombits(uint64(s.val)) }
 
-	// histogram state: bucket i counts values v with bits.Len64(v) == i,
-	// i.e. v in [2^(i-1), 2^i - 1]; bucket 0 counts v == 0.
+func (s *series) setGauge(v float64) { s.val = int64(math.Float64bits(v)) }
+
+// histState is a histogram series' distribution: bucket i counts values v
+// with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i - 1]; bucket 0 counts
+// v == 0.
+type histState struct {
 	buckets  [65]uint64
 	count    uint64
 	sum      int64
 	min, max int64
+}
+
+// newSeries returns a series of the given kind over the label values.
+func newSeries(kind Kind, values []string) *series {
+	s := &series{values: values}
+	if kind == KindHistogram {
+		s.hist = new(histState)
+	}
+	return s
 }
 
 // NewRegistry returns an empty registry with a zero clock.
@@ -108,25 +125,37 @@ func (r *Registry) now() int64 {
 	return r.clock()
 }
 
-// labelPairs splits variadic "k1, v1, k2, v2, ..." arguments.
-func labelPairs(kv []string) (keys, values []string) {
-	if len(kv)%2 != 0 {
-		panic(fmt.Sprintf("telemetry: odd label list %q", kv))
-	}
+// schemaPanic reports a label schema that differs from the family's.
+func schemaPanic(f *family, kv []string) {
+	keys := make([]string, 0, len(kv)/2)
 	for i := 0; i < len(kv); i += 2 {
 		keys = append(keys, kv[i])
-		values = append(values, kv[i+1])
 	}
-	return keys, values
+	panic(fmt.Sprintf("telemetry: %s label schema %v, requested %v", f.name, f.keys, keys))
 }
 
 // get returns the series for (name, labels), creating the family and series
 // as needed. The label schema and kind must match the family's on every
 // call — a mismatch is a programming error and panics.
+//
+// Resolving an existing series allocates nothing: the schema is checked in
+// place against kv, a series of at most one label is keyed by its value,
+// and a longer key is joined into a stack buffer for the lookup. Key and
+// value slices are allocated only when a family or series is created. A
+// series key is its label values joined by \x1f; sortedSeries orders on it.
 func (r *Registry) get(name, help string, kind Kind, kv []string) *series {
-	keys, values := labelPairs(kv)
+	if len(kv)%2 != 0 {
+		// Format a copy: handing kv itself to fmt would move every
+		// caller's variadic label array to the heap.
+		panic(fmt.Sprintf("telemetry: odd label list %q", slices.Clone(kv)))
+	}
+	n := len(kv) / 2
 	f, ok := r.families[name]
 	if !ok {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = kv[2*i]
+		}
 		f = &family{name: name, help: help, kind: kind, keys: keys, series: map[string]*series{}}
 		r.families[name] = f
 		r.names = append(r.names, name)
@@ -134,21 +163,43 @@ func (r *Registry) get(name, help string, kind Kind, kv []string) *series {
 		if f.kind != kind {
 			panic(fmt.Sprintf("telemetry: %s registered as %v, requested as %v", name, f.kind, kind))
 		}
-		if len(f.keys) != len(keys) {
-			panic(fmt.Sprintf("telemetry: %s label schema %v, requested %v", name, f.keys, keys))
+		if len(f.keys) != n {
+			schemaPanic(f, kv)
 		}
-		for i := range keys {
-			if f.keys[i] != keys[i] {
-				panic(fmt.Sprintf("telemetry: %s label schema %v, requested %v", name, f.keys, keys))
+		for i, k := range f.keys {
+			if k != kv[2*i] {
+				schemaPanic(f, kv)
 			}
 		}
 	}
-	k := strings.Join(values, "\x1f")
-	s, ok := f.series[k]
-	if !ok {
-		s = &series{values: values}
-		f.series[k] = s
-		f.order = append(f.order, k)
+	var s *series
+	var key string
+	switch n {
+	case 0:
+		s = f.series[""]
+	case 1:
+		key = kv[1]
+		s = f.series[key]
+	default:
+		var buf [128]byte
+		b := buf[:0]
+		for i := 1; i < len(kv); i += 2 {
+			if i > 1 {
+				b = append(b, '\x1f')
+			}
+			b = append(b, kv[i]...)
+		}
+		if s = f.series[string(b)]; s == nil {
+			key = string(b)
+		}
+	}
+	if s == nil {
+		values := make([]string, n)
+		for i := range values {
+			values[i] = kv[2*i+1]
+		}
+		s = newSeries(kind, values)
+		f.series[key] = s
 	}
 	return s
 }
@@ -170,7 +221,7 @@ func (c *Counter) Add(d int64) {
 	if d <= 0 {
 		return
 	}
-	c.s.ival += d
+	c.s.val += d
 	c.s.lastNs = c.r.now()
 }
 
@@ -187,14 +238,14 @@ func (c *Counter) AddAt(d, ns int64) {
 	if d <= 0 {
 		return
 	}
-	c.s.ival += d
+	c.s.val += d
 	if ns > c.s.lastNs {
 		c.s.lastNs = ns
 	}
 }
 
 // Value reports the current count.
-func (c *Counter) Value() int64 { return c.s.ival }
+func (c *Counter) Value() int64 { return c.s.val }
 
 // Gauge is a floating-point metric that can move in both directions.
 type Gauge struct {
@@ -209,20 +260,20 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	g.s.fval = v
+	g.s.setGauge(v)
 	g.s.lastNs = g.r.now()
 }
 
 // SetMax stores v if it exceeds the current value (peak tracking).
 func (g *Gauge) SetMax(v float64) {
-	if v > g.s.fval {
-		g.s.fval = v
+	if v > g.s.gauge() {
+		g.s.setGauge(v)
 		g.s.lastNs = g.r.now()
 	}
 }
 
 // Value reports the current gauge value.
-func (g *Gauge) Value() float64 { return g.s.fval }
+func (g *Gauge) Value() float64 { return g.s.gauge() }
 
 // Histogram is a log2-bucketed distribution of non-negative int64 samples
 // (durations in nanoseconds, sizes in bytes). Bucket i counts samples in
@@ -242,7 +293,7 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	s := h.s
+	s := h.s.hist
 	s.buckets[bits.Len64(uint64(v))]++
 	if s.count == 0 || v < s.min {
 		s.min = v
@@ -252,14 +303,14 @@ func (h *Histogram) Observe(v int64) {
 	}
 	s.count++
 	s.sum += v
-	s.lastNs = h.r.now()
+	h.s.lastNs = h.r.now()
 }
 
 // Count reports the number of observed samples.
-func (h *Histogram) Count() uint64 { return h.s.count }
+func (h *Histogram) Count() uint64 { return h.s.hist.count }
 
 // Sum reports the total of observed samples.
-func (h *Histogram) Sum() int64 { return h.s.sum }
+func (h *Histogram) Sum() int64 { return h.s.hist.sum }
 
 // Merge folds every series of src into r. Rules are commutative so a set of
 // merges lands in the same final state regardless of completion order, which
@@ -275,7 +326,7 @@ func (r *Registry) Merge(src *Registry) {
 		df := r.families[name]
 		if df == nil {
 			df = &family{name: name, help: sf.help, kind: sf.kind,
-				keys: slices.Clone(sf.keys), series: make(map[string]*series, len(sf.order))}
+				keys: sf.keys, series: make(map[string]*series, len(sf.series))}
 			r.families[name] = df
 			r.names = append(r.names, name)
 		} else if df.kind != sf.kind {
@@ -284,15 +335,15 @@ func (r *Registry) Merge(src *Registry) {
 			panic(fmt.Sprintf("telemetry: %s label schema %v, requested %v", name, df.keys, sf.keys))
 		}
 		// Both families share one label schema, so a source series key is
-		// also its destination key; missing series are created in source
-		// order, exactly as get would have created them.
-		for _, k := range sf.order {
-			ss := sf.series[k]
+		// also its destination key. Creation order is unobservable (a
+		// snapshot sorts by key) and mergeSeries commutes, so the source
+		// map is walked directly. Keys and label values are immutable once
+		// created, so the destination shares the source's slices.
+		for k, ss := range sf.series {
 			ds := df.series[k]
 			if ds == nil {
-				ds = &series{values: slices.Clone(ss.values)}
+				ds = newSeries(sf.kind, ss.values)
 				df.series[k] = ds
-				df.order = append(df.order, k)
 			}
 			mergeSeries(ds, ss, sf.kind)
 		}
@@ -303,24 +354,25 @@ func (r *Registry) Merge(src *Registry) {
 func mergeSeries(dst, src *series, kind Kind) {
 	switch kind {
 	case KindCounter:
-		dst.ival += src.ival
+		dst.val += src.val
 	case KindGauge:
-		if src.fval > dst.fval {
-			dst.fval = src.fval
+		if v := src.gauge(); v > dst.gauge() {
+			dst.setGauge(v)
 		}
 	case KindHistogram:
-		if src.count > 0 {
-			if dst.count == 0 || src.min < dst.min {
-				dst.min = src.min
+		d, s := dst.hist, src.hist
+		if s.count > 0 {
+			if d.count == 0 || s.min < d.min {
+				d.min = s.min
 			}
-			if src.max > dst.max {
-				dst.max = src.max
+			if s.max > d.max {
+				d.max = s.max
 			}
-			for i := range dst.buckets {
-				dst.buckets[i] += src.buckets[i]
+			for i := range d.buckets {
+				d.buckets[i] += s.buckets[i]
 			}
-			dst.count += src.count
-			dst.sum += src.sum
+			d.count += s.count
+			d.sum += s.sum
 		}
 	}
 	if src.lastNs > dst.lastNs {
@@ -391,7 +443,10 @@ func (r *Registry) sortedFamilies() []*family {
 
 // sortedSeries returns a family's series ordered by label values.
 func (f *family) sortedSeries() []*series {
-	keys := append([]string(nil), f.order...)
+	keys := make([]string, 0, len(f.series))
+	for k := range f.series {
+		keys = append(keys, k)
+	}
 	sort.Strings(keys)
 	out := make([]*series, 0, len(keys))
 	for _, k := range keys {

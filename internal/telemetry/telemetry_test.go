@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -226,5 +228,68 @@ func TestPoolRecycles(t *testing.T) {
 	p.Put(nil) // nil-safe
 	if got := p.Get(); got == nil {
 		t.Fatal("Get returned nil")
+	}
+}
+
+// TestSeriesFootprint bounds the heap cost of a node-scale family: a
+// counter series carries only its labels, stamp and value (histogram state
+// is allocated for histogram series alone), so 4096 single-label counters
+// must cost well under the ~640 B size class a series took when every one
+// embedded a histogram. The measured cost includes the returned handle and
+// the family's map growth.
+func TestSeriesFootprint(t *testing.T) {
+	const n = 4096
+	nodes := make([]string, n)
+	for i := range nodes {
+		nodes[i] = strconv.Itoa(i)
+	}
+	r := NewRegistry()
+	handles := make([]*Counter, 0, n) // callers keep their handles
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, node := range nodes {
+		handles = append(handles, r.Counter("msgs_total", "messages", "node", node))
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(handles)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if per >= 200 {
+		t.Fatalf("%.0f B allocated per counter series, want < 200", per)
+	}
+}
+
+// TestResolveAllocations: re-resolving an existing series allocates only
+// the returned handle — no label slices and no joined key — whatever the
+// kind and however many labels it has.
+func TestResolveAllocations(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("bare_total", "")
+	r.Counter("node_total", "", "node", "n7")
+	r.Gauge("link_util", "", "node", "n7", "link", "pcie0")
+	r.Histogram("copy_bytes", "", "node", "n7", "dev", "0", "dir", "HtoD")
+	var sink any // keeps the handle on the heap, as a caller storing it would
+	for name, fn := range map[string]func(){
+		"label-free counter": func() { sink = r.Counter("bare_total", "") },
+		"one-label counter":  func() { sink = r.Counter("node_total", "", "node", "n7") },
+		"two-label gauge":    func() { sink = r.Gauge("link_util", "", "node", "n7", "link", "pcie0") },
+		"three-label histogram": func() {
+			sink = r.Histogram("copy_bytes", "", "node", "n7", "dev", "0", "dir", "HtoD")
+		},
+	} {
+		if got := testing.AllocsPerRun(100, fn); got != 1 {
+			t.Errorf("%s: %v allocations per re-resolve, want 1 (the handle)", name, got)
+		}
+	}
+	runtime.KeepAlive(sink)
+}
+
+// BenchmarkHistogramObserve keeps the histogram hot path, which reaches its
+// state through one pointer, visible.
+func BenchmarkHistogramObserve(b *testing.B) {
+	r := NewRegistry()
+	h := r.Histogram("lat_ns", "latency", "op", "send")
+	b.ResetTimer()
+	for i := range b.N {
+		h.Observe(int64(i & 0xffff))
 	}
 }
